@@ -866,6 +866,19 @@ def cmd_battery(_args) -> int:
     return 0
 
 
+def run_count(text: str) -> int:
+    """argparse type for ``--runs``: an interval needs two or more runs.
+
+    Rejecting fewer at parse time exits 2 before any cell is simulated.
+    """
+    runs = int(text)
+    if runs < 2:
+        raise argparse.ArgumentTypeError(
+            f"need at least 2 runs for a confidence interval, got {runs}"
+        )
+    return runs
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -965,7 +978,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     t2 = sub.add_parser("table2", help="regenerate Table 2",
                         parents=[sweep_opts, backend_opts, machine_opts])
-    t2.add_argument("--runs", type=int, default=3)
+    t2.add_argument("--runs", type=run_count, default=3)
     t2.set_defaults(func=cmd_table2)
 
     f9 = sub.add_parser("fig9", help="regenerate Figure 9's sweep",
@@ -981,7 +994,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_parser.add_argument("workload", choices=CLI_WORKLOADS)
     cmp_parser.add_argument("policy_a")
     cmp_parser.add_argument("policy_b")
-    cmp_parser.add_argument("--runs", type=int, default=3)
+    cmp_parser.add_argument("--runs", type=run_count, default=3)
     cmp_parser.add_argument("--duration", type=float, default=None)
     cmp_parser.set_defaults(func=cmd_compare)
 

@@ -3,6 +3,9 @@
 The paper reports 95 % confidence intervals for energy over multiple runs
 of each workload and found them "to be less than 0.7 % of the mean energy".
 We use the standard two-sided Student-t interval on the sample mean.
+The t quantile comes from ``scipy.special.stdtrit``, the function scipy's
+own t-distribution ``ppf`` calls.  It is imported only when an interval is
+computed, so importing this module loads no scipy.
 """
 
 from __future__ import annotations
@@ -11,7 +14,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 
 @dataclass(frozen=True)
@@ -80,6 +82,8 @@ def confidence_interval(
     sem = float(np.std(arr, ddof=1) / np.sqrt(arr.size))
     if sem == 0.0:
         return ConfidenceInterval(mean, mean, mean, level, int(arr.size))
-    t = float(_scipy_stats.t.ppf(0.5 + level / 2.0, df=arr.size - 1))
+    from scipy.special import stdtrit
+
+    t = float(stdtrit(arr.size - 1, 0.5 + level / 2.0))
     half = t * sem
     return ConfidenceInterval(mean, mean - half, mean + half, level, int(arr.size))

@@ -57,3 +57,27 @@ class TestConfidenceInterval:
         narrow = confidence_interval(values, level=0.80)
         wide = confidence_interval(values, level=0.99)
         assert wide.half_width > narrow.half_width
+
+
+class TestScipyParity:
+    """The interval's t quantile is bitwise scipy's ``t.ppf``."""
+
+    LEVELS = (0.5, 0.8, 0.9, 0.95, 0.99, 0.999)
+
+    def test_bounds_match_scipy_t_ppf(self):
+        from scipy import stats
+
+        rng = np.random.default_rng(12)
+        for df in range(1, 500):
+            # Centred samples keep the bounds close to +-t*sem, so a t off
+            # by one ulp shows in them.
+            values = rng.normal(0.0, 1.0, df + 1)
+            values -= np.mean(values)
+            mean = float(np.mean(values))
+            sem = float(np.std(values, ddof=1) / np.sqrt(values.size))
+            for level in self.LEVELS:
+                t = float(stats.t.ppf(0.5 + level / 2.0, df=df))
+                ci = confidence_interval(values, level=level)
+                assert (ci.low, ci.high) == (mean - t * sem, mean + t * sem), (
+                    df, level,
+                )

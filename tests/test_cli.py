@@ -279,6 +279,41 @@ class TestSweepOptions:
         assert "206.4" in capsys.readouterr().out
 
 
+class TestRunsOption:
+    """``--runs`` below 2 is refused at parse time, before any cell runs."""
+
+    @pytest.mark.parametrize("runs", ["1", "0", "-3"])
+    def test_table2_rejects_before_simulating(self, capsys, tmp_path, runs):
+        cache = tmp_path / "cache"
+        with pytest.raises(SystemExit) as exc:
+            main(["table2", "--runs", runs, "--cache", str(cache)])
+        assert exc.value.code == 2
+        assert "need at least 2 runs" in capsys.readouterr().err
+        # No cache entry and no fleet record: nothing was simulated.
+        assert list(tmp_path.rglob("*")) == []
+
+    def test_compare_rejects_before_simulating(self, capsys, monkeypatch):
+        def fail(*_args, **_kwargs):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr("repro.cli.repeat_workload", fail)
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "mpeg", "best", "const-206.4", "--runs", "1"])
+        assert exc.value.code == 2
+        assert "need at least 2 runs" in capsys.readouterr().err
+
+    def test_rejects_non_integer(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["table2", "--runs", "two"])
+        assert exc.value.code == 2
+        assert "invalid run_count value: 'two'" in capsys.readouterr().err
+
+    def test_accepts_two(self):
+        args = build_parser().parse_args(["compare", "mpeg", "a", "b",
+                                          "--runs", "2"])
+        assert args.runs == 2
+
+
 class TestObservabilityOptions:
     """The trace command, --run-log, and the stderr sweep summary."""
 
