@@ -72,19 +72,20 @@ def test_sweep_throughput(benchmark):
         results = {}
         # The new engine keeps its pool warm across batches -- that IS
         # the feature -- so it lives for all rounds; the legacy shape
-        # spawns a fresh pool per batch by definition.
+        # spawns a fresh pool per batch by definition, so each round
+        # builds a fresh engine and times its pool's spin-up and
+        # shutdown.
         new_engine = SweepEngine(jobs=JOBS)
 
         def measure_round():
             walls = {}
-            legacy_engine = SweepEngine(
-                jobs=JOBS, chunk_size=1, reuse_pool=False
-            )
+            legacy_engine = SweepEngine(jobs=JOBS, chunk_size=1)
             try:
                 start = time.perf_counter()
                 results["legacy"] = legacy_engine.run(
                     grid_cells(machine, backend="reference")
                 )
+                legacy_engine.close()
                 walls["legacy"] = time.perf_counter() - start
             finally:
                 legacy_engine.close()

@@ -61,9 +61,9 @@ worker utilization, straggler flags — silent when stderr is piped),
 ``--sweep-trace PATH`` to export the whole sweep pipeline as a Chrome
 trace with one lane per pool worker (see :mod:`repro.obs.telemetry`),
 ``--phases`` to print the phase-level wall-time breakdown (see
-:mod:`repro.obs.profile` — engine-served sweeps always attribute their
-wall time to pipeline phases; the flag only prints the table), and the
-fleet ledger: every engine-served sweep appends one record to
+:mod:`repro.obs.profile` — sweeps given any sweep flag always attribute
+their wall time to pipeline phases; the flag only prints the table), and
+the fleet ledger: every sweep given any sweep flag appends one record to
 ``.repro/fleet.jsonl`` (``--fleet PATH`` overrides, ``--no-fleet`` opts
 out), queryable afterwards with ``repro fleet`` — list/filter past
 sweeps, throughput trend, markdown/HTML perf-trajectory reports,
@@ -94,6 +94,7 @@ from repro.measure.parallel import (
     SweepCellError,
     SweepEngine,
     WorkloadSpec,
+    constant_step_cells,
 )
 from repro.obs.diagnose import DiagnosisWriter
 from repro.obs.fleet import DEFAULT_FLEET_PATH, FleetLedger, read_fleet
@@ -159,17 +160,18 @@ def machine_spec(args) -> MachineSpec:
     return MachineSpec.parse(getattr(args, "machine", "itsy"))
 
 
-def sweep_engine(args) -> Optional[SweepEngine]:
+def sweep_engine(args) -> SweepEngine:
     """Build the sweep engine the ``--jobs``/``--cache``/``--run-log``/
     ``--diagnoses``/``--progress``/``--sweep-trace``/``--fleet``/
     ``--phases`` flags ask for.
 
-    Returns None when none of the flags is given: the command then takes
-    the legacy serial, uncached path (and records nothing in the fleet
-    ledger — only engine-served sweeps are ledger entries).  Every
-    engine built here carries a :class:`~repro.obs.profile.PhaseProfile`
-    — the ledger's phase attribution must not depend on remembering a
-    flag — while ``--phases`` only controls printing the table.
+    With none of the flags given the engine is bare — serial, uncached,
+    no observers — and :func:`report_sweep_stats` prints and records
+    nothing for it (only flagged sweeps are fleet-ledger entries).
+    Every other engine built here carries a
+    :class:`~repro.obs.profile.PhaseProfile` — the ledger's phase
+    attribution must not depend on remembering a flag — while
+    ``--phases`` only controls printing the table.
     """
     jobs = getattr(args, "jobs", 1)
     cache_dir = getattr(args, "cache", None)
@@ -191,7 +193,7 @@ def sweep_engine(args) -> Optional[SweepEngine]:
         and fleet_path is None
         and not phases
     ):
-        return None
+        return SweepEngine()
     cache = ResultCache(cache_dir) if cache_dir else None
     run_log = RunLogWriter(run_log_path) if run_log_path else None
     diagnosis_log = DiagnosisWriter(diagnoses_path) if diagnoses_path else None
@@ -214,24 +216,19 @@ def cell_backend(args) -> Optional[str]:
     return getattr(args, "backend", None)
 
 
-def report_sweep_stats(
-    engine: Optional[SweepEngine], args=None
-) -> None:
+def report_sweep_stats(engine: SweepEngine, args) -> None:
     """Print the engine's throughput summary to stderr and shut it down.
 
-    With ``args``, also settles the sweep-level observers: exports the
-    ``--sweep-trace`` Chrome trace when requested, and appends one fleet
-    record to the ledger (``--fleet`` path or the repo-local default)
-    unless ``--no-fleet`` opted out.
+    Also settles the sweep-level observers: exports the ``--sweep-trace``
+    Chrome trace when requested, and appends one fleet record to the
+    ledger (``--fleet`` path or the repo-local default) unless
+    ``--no-fleet`` opted out.  A bare engine (no sweep flag, hence no
+    phase profile) reports nothing.
     """
-    if engine is None:
+    if engine.profile is None:
         return
     print(engine.stats.summary(), file=sys.stderr)
-    if (
-        args is not None
-        and getattr(args, "phases", False)
-        and engine.profile is not None
-    ):
+    if getattr(args, "phases", False):
         print("phase profile:", file=sys.stderr)
         print(engine.profile.table(engine.stats.wall_s), file=sys.stderr)
     engine.close()
@@ -239,8 +236,6 @@ def report_sweep_stats(
         engine.run_log.close()
     if engine.diagnosis_log is not None:
         engine.diagnosis_log.close()
-    if args is None:
-        return
     sweep_trace = getattr(args, "sweep_trace", None)
     if sweep_trace and engine.telemetry is not None:
         from repro.obs.trace import write_chrome_trace
@@ -293,48 +288,28 @@ def cmd_run(args) -> int:
     print(f"workload        : {workload.name} ({workload.duration_s:.0f} s)")
     print(f"policy          : {args.policy}")
     print(f"machine         : {args.machine}")
-    if engine is not None:
-        cell = SweepCell(
-            workload=spec,
-            policy=PolicySpec(name=args.policy),
-            seed=args.seed,
-            use_daq=not args.no_daq,
-            machine=mspec,
-            backend=cell_backend(args),
-        )
-        summary = engine.run([cell])[0]
-        print(f"energy          : {summary.energy_j:.2f} J "
-              f"(exact {summary.exact_energy_j:.2f} J)")
-        print(f"mean power      : {summary.mean_power_w:.3f} W")
-        print(f"mean utilization: {summary.mean_utilization:.3f}")
-        print(f"clock changes   : {summary.clock_changes} "
-              f"(stalled {summary.clock_stall_us / 1000:.1f} ms)")
-        print(f"voltage changes : {summary.voltage_changes}")
-        print(f"deadline misses : {summary.miss_count}")
-        if summary.missed:
-            print(f"  worst: {summary.worst_miss_kind} late by "
-                  f"{summary.worst_lateness_us / 1000:.1f} ms")
-        report_sweep_stats(engine, args)
-        return 1 if summary.missed else 0
-    factory = resolve_policy(args.policy, clock_table=mspec.clock_table())
-    result = run_workload(
-        workload, factory, machine_factory=mspec,
-        seed=args.seed, use_daq=not args.no_daq,
+    cell = SweepCell(
+        workload=spec,
+        policy=PolicySpec(name=args.policy),
+        seed=args.seed,
+        use_daq=not args.no_daq,
+        machine=mspec,
         backend=cell_backend(args),
     )
-    run = result.run
-    print(f"energy          : {result.energy_j:.2f} J "
-          f"(exact {result.exact_energy_j:.2f} J)")
-    print(f"mean power      : {result.mean_power_w:.3f} W")
-    print(f"mean utilization: {run.mean_utilization():.3f}")
-    print(f"clock changes   : {run.clock_changes} "
-          f"(stalled {run.clock_stall_us / 1000:.1f} ms)")
-    print(f"voltage changes : {run.voltage_changes}")
-    print(f"deadline misses : {len(result.misses)}")
-    if result.misses:
-        worst = max(result.misses, key=lambda e: e.lateness_us)
-        print(f"  worst: {worst.kind} late by {worst.lateness_us / 1000:.1f} ms")
-    return 1 if result.misses else 0
+    summary = engine.run([cell])[0]
+    print(f"energy          : {summary.energy_j:.2f} J "
+          f"(exact {summary.exact_energy_j:.2f} J)")
+    print(f"mean power      : {summary.mean_power_w:.3f} W")
+    print(f"mean utilization: {summary.mean_utilization:.3f}")
+    print(f"clock changes   : {summary.clock_changes} "
+          f"(stalled {summary.clock_stall_us / 1000:.1f} ms)")
+    print(f"voltage changes : {summary.voltage_changes}")
+    print(f"deadline misses : {summary.miss_count}")
+    if summary.missed:
+        print(f"  worst: {summary.worst_miss_kind} late by "
+              f"{summary.worst_lateness_us / 1000:.1f} ms")
+    report_sweep_stats(engine, args)
+    return 1 if summary.missed else 0
 
 
 #: Table 2's rows as (label, policy name) -- resolvable, hence sweepable.
@@ -352,75 +327,42 @@ def cmd_table2(args) -> int:
     mspec = machine_spec(args)
     spec = workload_spec("mpeg")
     print(f"{'Algorithm':30s} {'Energy 95% CI (J)':>20s} {'Misses':>7s}")
-    if engine is not None:
-        # Submit the whole table as one batch so rows share the pool.
-        cells = [
-            SweepCell(
-                workload=spec, policy=PolicySpec(name=policy),
-                seed=1000 * i, machine=mspec,
-                backend=cell_backend(args),
-            )
-            for _, policy in TABLE2_ROWS
-            for i in range(args.runs)
-        ]
-        results = engine.run(cells)
-        for r, (name, _) in enumerate(TABLE2_ROWS):
-            row = results[r * args.runs : (r + 1) * args.runs]
-            ci = confidence_interval([c.energy_j for c in row])
-            misses = sum(c.miss_count for c in row)
-            print(f"{name:30s} {ci.low:9.2f} - {ci.high:5.2f} {misses:7d}")
-        report_sweep_stats(engine, args)
-        return 0
-    table = mspec.clock_table()
-    for name, policy in TABLE2_ROWS:
-        agg = repeat_workload(
-            spec.build(), resolve_policy(policy, clock_table=table),
-            machine_factory=mspec, runs=args.runs,
+    # Submit the whole table as one batch so rows share the pool.
+    cells = [
+        SweepCell(
+            workload=spec, policy=PolicySpec(name=policy),
+            seed=1000 * i, machine=mspec,
             backend=cell_backend(args),
         )
-        ci = agg.energy_ci
-        print(f"{name:30s} {ci.low:9.2f} - {ci.high:5.2f} {agg.total_misses:7d}")
+        for _, policy in TABLE2_ROWS
+        for i in range(args.runs)
+    ]
+    results = engine.run(cells)
+    for r, (name, _) in enumerate(TABLE2_ROWS):
+        row = results[r * args.runs : (r + 1) * args.runs]
+        ci = confidence_interval([c.energy_j for c in row])
+        misses = sum(c.miss_count for c in row)
+        print(f"{name:30s} {ci.low:9.2f} - {ci.high:5.2f} {misses:7d}")
+    report_sweep_stats(engine, args)
     return 0
 
 
 def cmd_fig9(args) -> int:
     engine = sweep_engine(args)
     mspec = machine_spec(args)
-    table = mspec.clock_table()
     spec = workload_spec("mpeg", args.duration or 30.0)
     print(f"{'MHz':>6s} {'Utilization':>12s} {'Misses':>7s}")
-    if engine is not None:
-        from repro.measure.parallel import constant_step_cells
-
-        results = engine.run(
-            constant_step_cells(
-                spec, machine=mspec, seed=args.seed,
-                backend=cell_backend(args),
-            )
+    results = engine.run(
+        constant_step_cells(
+            spec, machine=mspec, seed=args.seed, backend=cell_backend(args),
         )
-        for step, res in zip(table, results):
-            print(
-                f"{step.mhz:6.1f} {res.mean_utilization * 100:11.1f}% "
-                f"{res.miss_count:7d}"
-            )
-        report_sweep_stats(engine, args)
-        return 0
-    cfg = MpegConfig(duration_s=args.duration or 30.0)
-    for step in table:
-        res = run_workload(
-            resolve_workload("mpeg", cfg.duration_s),
-            lambda s=step: resolve_policy(
-                f"const-{s.mhz:.1f}", clock_table=table
-            )(),
-            machine_factory=mspec,
-            seed=args.seed,
-            use_daq=False,
-            backend=cell_backend(args),
-        )
+    )
+    for step, res in zip(mspec.clock_table(), results):
         print(
-            f"{step.mhz:6.1f} {res.run.mean_utilization() * 100:11.1f}% "
-            f"{len(res.misses):7d}"
+            f"{step.mhz:6.1f} {res.mean_utilization * 100:11.1f}% "
+            f"{res.miss_count:7d}"
         )
+    report_sweep_stats(engine, args)
     return 0
 
 
@@ -460,29 +402,18 @@ def cmd_ideal(args) -> int:
     spec = workload_spec(args.workload, args.duration)
     workload = spec.build()
     try:
-        if engine is not None:
-            summary = find_ideal_constant(
-                spec, machine_factory=mspec, seed=args.seed, engine=engine,
-                backend=cell_backend(args),
-            )
-            print(f"workload        : {workload.name} ({workload.duration_s:.0f} s)")
-            print(f"ideal constant  : {summary.final_mhz:.1f} MHz")
-            print(f"energy          : {summary.exact_energy_j:.2f} J")
-            print(f"mean utilization: {summary.mean_utilization:.3f}")
-            report_sweep_stats(engine, args)
-            return 0
-        result = find_ideal_constant(
-            workload, machine_factory=mspec, seed=args.seed,
+        summary = find_ideal_constant(
+            spec, machine_factory=mspec, seed=args.seed, engine=engine,
             backend=cell_backend(args),
         )
     except ValueError as exc:
         print(f"no feasible constant step: {exc}", file=sys.stderr)
         return 1
-    step_mhz = result.run.quanta[-1].mhz
     print(f"workload        : {workload.name} ({workload.duration_s:.0f} s)")
-    print(f"ideal constant  : {step_mhz:.1f} MHz")
-    print(f"energy          : {result.exact_energy_j:.2f} J")
-    print(f"mean utilization: {result.run.mean_utilization():.3f}")
+    print(f"ideal constant  : {summary.final_mhz:.1f} MHz")
+    print(f"energy          : {summary.exact_energy_j:.2f} J")
+    print(f"mean utilization: {summary.mean_utilization:.3f}")
+    report_sweep_stats(engine, args)
     return 0
 
 

@@ -584,120 +584,102 @@ class ResultCache:
             return 0
 
 
-def _execute_cell(cell: SweepCell) -> CellResult:
-    """Worker entry point (module-level so it pickles)."""
-    return cell.run()
+@dataclass(frozen=True)
+class CellOutcome:
+    """What executing one cell produced, in every engine mode.
+
+    Workers return one of these per cell; the engine feeds it to the
+    cache and every observer in :meth:`SweepEngine._commit`.
+
+    Attributes:
+        result: the picklable summary (what the cache stores).
+        wall_s: simulation time only (:meth:`SweepCell.execute`), in
+            every mode — neither the summary reduction nor a diagnosis
+            counts.
+        pid: the executing process (the engine's own for serial runs).
+        t_start / t_end: the cell's ``perf_counter`` interval, covering
+            simulate + diagnose + reduce; telemetry builds the cell's
+            worker-lane span from it (never from heartbeats, which are
+            display-only and may trail the future's completion).
+        phases: ``(phase, t0, t1)`` stamps for the
+            :class:`~repro.obs.profile.PhaseProfile` when profiled —
+            kernel compute, any kernel-side observer-reduction stamps
+            (the fast path stamps its bulk-tap replay), diagnosis and
+            summary reduction; empty otherwise.
+        metrics: the worker-local kernel hot-loop metrics, when asked.
+        diagnosis: the cell's :class:`~repro.obs.diagnose.PolicyDiagnosis`
+            when diagnosing.
+    """
+
+    result: CellResult
+    wall_s: float
+    pid: int
+    t_start: float
+    t_end: float
+    phases: Tuple[Tuple[str, float, float], ...] = ()
+    metrics: Optional[MetricsSnapshot] = None
+    diagnosis: Optional[PolicyDiagnosis] = None
 
 
-def _execute_cell_observed(
-    cell: SweepCell, with_metrics: bool, profiled: bool = False
-) -> Tuple[
-    CellResult, float, Optional[MetricsSnapshot], int, float, float,
-    Tuple[Tuple[str, float, float], ...],
-]:
-    """Instrumented worker: times the cell and (optionally) collects the
-    kernel hot-loop metrics in a worker-local registry whose snapshot the
-    parent merges.  The simulation itself is the very same ``cell.run``
-    the plain worker calls, so results stay bitwise-identical.
+def _execute_cell(
+    cell: SweepCell,
+    with_metrics: bool,
+    profiled: bool,
+    diagnosed: bool,
+    baseline_j: Optional[float],
+) -> CellOutcome:
+    """Worker entry point (module-level so it pickles); the serial path
+    calls it too.
 
-    The trailing ``(pid, t_start, t_end, phases)`` fields carry the
-    executing process and the cell's ``perf_counter`` interval home on
-    the result channel — the telemetry layer builds its per-cell
-    worker-lane spans from these (never from heartbeats, which are
-    display-only and may trail the future's completion).  With
-    ``profiled``, ``phases`` additionally carries the cell's phase
-    stamps for the :class:`~repro.obs.profile.PhaseProfile`: the
-    kernel-compute interval, any kernel-side observer-reduction stamps
-    (the fast path stamps its bulk-tap replay), and the summary
-    reduction — ``cell.run`` split into its two halves
-    (:meth:`SweepCell.execute` + :meth:`CellResult.from_experiment`),
-    which is the very same computation, just stamped between the
-    halves.
+    The cell runs as :meth:`SweepCell.execute` followed by
+    :meth:`CellResult.from_experiment` — the very computation
+    :meth:`SweepCell.run` performs, just timed between the halves — so
+    results stay bitwise-identical in every mode.  ``with_metrics``
+    collects the kernel hot-loop metrics in a worker-local registry
+    whose snapshot the parent merges.  ``diagnosed`` forces full
+    recording (diagnosis needs the quantum log and power timeline; the
+    summary cannot change, because recording modes are
+    bitwise-equivalent in everything a :class:`CellResult` carries) and
+    computes the cell's diagnosis against ``baseline_j`` worker-side.
     """
     registry = MetricsRegistry() if with_metrics else None
     extra = [KernelMetricsRecorder(registry)] if registry is not None else None
-    if not profiled:
-        start = perf_counter()
-        result = cell.run(extra_recorders=extra)
-        end = perf_counter()
-        snap = registry.snapshot() if registry is not None else None
-        return result, end - start, snap, os.getpid(), start, end, ()
-    arm_worker_stamps()
-    start = perf_counter()
-    experiment = cell.execute(extra_recorders=extra)
-    t_computed = perf_counter()
-    result = CellResult.from_experiment(experiment)
-    end = perf_counter()
-    phases = (
-        (PHASE_COMPUTE, start, t_computed),
-        *drain_worker_stamps(),
-        (PHASE_REDUCE, t_computed, end),
-    )
-    snap = registry.snapshot() if registry is not None else None
-    return result, end - start, snap, os.getpid(), start, end, phases
-
-
-def _execute_cell_diagnosed(
-    cell: SweepCell, with_metrics: bool, baseline_j: Optional[float],
-    profiled: bool = False,
-) -> Tuple[
-    CellResult, float, Optional[MetricsSnapshot], PolicyDiagnosis,
-    int, float, float, Tuple[Tuple[str, float, float], ...],
-]:
-    """Diagnosing worker: runs the cell with full recording, computes its
-    :class:`~repro.obs.diagnose.PolicyDiagnosis` worker-side, and ships
-    the picklable diagnosis home alongside the summary — the diagnosis
-    analogue of merging a worker's :class:`MetricsSnapshot`.
-
-    Full recording is forced (diagnosis needs the quantum log and power
-    timeline); that cannot change the summary, because recording modes
-    are bitwise-equivalent in everything a :class:`CellResult` carries.
-
-    ``wall_s`` keeps its historical meaning (simulation time only) while
-    the telemetry interval ``t_start..t_end`` covers simulate + diagnose
-    — the span shows what the worker was occupied with, the run-log
-    shows what the simulation cost.  With ``profiled``, the trailing
-    ``phases`` carries compute / diagnosis / reduction stamps (plus any
-    kernel-side stamps) for the phase profile; empty otherwise.
-    """
-    registry = MetricsRegistry() if with_metrics else None
-    extra = [KernelMetricsRecorder(registry)] if registry is not None else None
-    full_cell = dataclasses.replace(cell, recording=RECORDING_FULL)
+    if diagnosed:
+        cell = dataclasses.replace(cell, recording=RECORDING_FULL)
     if profiled:
         arm_worker_stamps()
     start = perf_counter()
-    result = full_cell.execute(extra_recorders=extra)
-    t_computed = perf_counter()
-    wall_s = t_computed - start
-    diagnosis = diagnose(
-        result,
-        policy=cell.policy.label,
-        workload=cell.workload.name,
-        machine=cell.machine,
-        machine_label=cell.machine.label,
-        seed=cell.seed,
-        baseline_j=baseline_j,
-    )
-    t_diagnosed = perf_counter()
-    summary = CellResult.from_experiment(result)
+    experiment = cell.execute(extra_recorders=extra)
+    t_computed = t_reduce = perf_counter()
+    diagnosis = None
+    if diagnosed:
+        diagnosis = diagnose(
+            experiment,
+            policy=cell.policy.label,
+            workload=cell.workload.name,
+            machine=cell.machine,
+            machine_label=cell.machine.label,
+            seed=cell.seed,
+            baseline_j=baseline_j,
+        )
+        t_reduce = perf_counter()
+    result = CellResult.from_experiment(experiment)
     end = perf_counter()
     phases: Tuple[Tuple[str, float, float], ...] = ()
     if profiled:
-        phases = (
-            (PHASE_COMPUTE, start, t_computed),
-            *drain_worker_stamps(),
-            (PHASE_DIAGNOSE, t_computed, t_diagnosed),
-            (PHASE_REDUCE, t_diagnosed, end),
-        )
-    return (
-        summary,
-        wall_s,
-        registry.snapshot() if registry is not None else None,
-        diagnosis,
-        os.getpid(),
-        start,
-        end,
-        phases,
+        phases = ((PHASE_COMPUTE, start, t_computed), *drain_worker_stamps())
+        if diagnosed:
+            phases += ((PHASE_DIAGNOSE, t_computed, t_reduce),)
+        phases += ((PHASE_REDUCE, t_reduce, end),)
+    return CellOutcome(
+        result=result,
+        wall_s=t_computed - start,
+        pid=os.getpid(),
+        t_start=start,
+        t_end=end,
+        phases=phases,
+        metrics=registry.snapshot() if registry is not None else None,
+        diagnosis=diagnosis,
     )
 
 
@@ -724,10 +706,10 @@ def _warm_worker(heartbeats: Optional[object] = None) -> None:
     import repro.measure.runner  # noqa: F401
 
 
-def _heartbeat(tag: str, cell_id: Optional[int]) -> None:
+def _heartbeat(tag: str, cell_id: int) -> None:
     """Emit one display heartbeat, best-effort (never fails the cell)."""
     hb = _HEARTBEATS
-    if hb is None or cell_id is None:
+    if hb is None:
         return
     try:
         hb.put((tag, os.getpid(), cell_id, perf_counter()))
@@ -737,45 +719,36 @@ def _heartbeat(tag: str, cell_id: Optional[int]) -> None:
 
 def _execute_chunk(
     cells: List[SweepCell],
-    mode: str,
     with_metrics: bool,
+    profiled: bool,
+    diagnosed: bool,
     baseline_js: List[Optional[float]],
-    cell_ids: Optional[List[int]] = None,
-    profiled: bool = False,
-) -> List[Tuple[str, object]]:
+    cell_ids: List[int],
+) -> List[Tuple[bool, object]]:
     """Run a contiguous chunk of cells in one pool task.
 
     One submission per chunk (instead of per cell) amortizes argument
     pickling, future bookkeeping and result IPC across the chunk.  Each
-    cell's outcome is tagged ``("ok", outcome)`` or ``("err", exception)``
-    so a failure is attributed to the *cell* that raised it, not to an
-    opaque chunk — the parent re-raises it as a :class:`SweepCellError`
-    with the original exception as ``__cause__``.  ``mode`` selects the
-    same per-cell entry points the unchunked engine used: ``"plain"``,
-    ``"observed"`` or ``"diagnosed"``.
+    cell's :class:`CellOutcome` is tagged ``(True, outcome)``, or
+    ``(False, exception)`` when it raised, so a failure is attributed to
+    the *cell* that raised it, not to an opaque chunk, and the cells
+    after it in the chunk still run.
 
     When the worker carries a heartbeat queue (live ``--progress``),
     each cell brackets its execution with start/done heartbeats keyed by
     ``cell_ids`` — pure display traffic on a side channel; results still
     travel only on the pool's result path.
     """
-    if cell_ids is None:
-        cell_ids = [None] * len(cells)  # type: ignore[list-item]
-    out: List[Tuple[str, object]] = []
+    out: List[Tuple[bool, object]] = []
     for cell, baseline_j, cell_id in zip(cells, baseline_js, cell_ids):
         _heartbeat(HEARTBEAT_START, cell_id)
         try:
-            if mode == "diagnosed":
-                outcome: object = _execute_cell_diagnosed(
-                    cell, with_metrics, baseline_j, profiled
-                )
-            elif mode == "observed":
-                outcome = _execute_cell_observed(cell, with_metrics, profiled)
-            else:
-                outcome = _execute_cell(cell)
-            out.append(("ok", outcome))
+            outcome = _execute_cell(
+                cell, with_metrics, profiled, diagnosed, baseline_j
+            )
+            out.append((True, outcome))
         except Exception as exc:
-            out.append(("err", exc))
+            out.append((False, exc))
         _heartbeat(HEARTBEAT_DONE, cell_id)
     return out
 
@@ -801,13 +774,15 @@ def _baseline_key(cell: SweepCell) -> str:
 
 
 class SweepCellError(RuntimeError):
-    """A sweep worker failed; names the cell instead of an opaque pool error.
+    """A sweep cell failed; names the cell instead of an opaque error.
 
-    A crashed worker process surfaces as
+    Raised the same way serial or pooled, with the original exception as
+    ``__cause__``.  A crashed worker process surfaces as
     :class:`~concurrent.futures.process.BrokenProcessPool` with no hint of
     *which* simulation sank it; this wrapper carries the failing cell's
-    coordinates (policy / workload / machine / seed) and keeps the original
-    exception as ``__cause__``.
+    coordinates (policy / workload / machine / seed).  Unknown policy
+    names raise it before any cell of the batch runs; otherwise every
+    cell that finished before it is already cached and logged.
     """
 
     def __init__(self, cell: SweepCell, cause: BaseException):
@@ -935,6 +910,15 @@ class _HeartbeatPump:
                 self._apply(event)
 
 
+#: A pending cell as the engine schedules it: (cache key, cell, display
+#: id, oracle baseline or None).
+_Todo = Tuple[str, SweepCell, int, Optional[float]]
+#: An executed cell: (cache key, cell, display id, outcome).
+_Received = Tuple[str, SweepCell, int, CellOutcome]
+#: The first failing cell of a batch and what it raised.
+_Failure = Tuple[SweepCell, BaseException]
+
+
 class SweepEngine:
     """Runs batches of sweep cells, in parallel and through the cache.
 
@@ -948,9 +932,14 @@ class SweepEngine:
     chunks per worker by default) so per-task pickling and future
     overhead amortize, and the pool itself is spawned once — warm
     workers preimport the simulator and are reused across batches until
-    :meth:`close` (the engine is a context manager; ``reuse_pool=False``
-    restores the spawn-per-batch behaviour).  Chunks preserve input
-    order, so results are the same, bitwise, at any chunk size.
+    :meth:`close` (the engine is a context manager).  Chunks preserve
+    input order, so results are the same, bitwise, at any chunk size.
+
+    Serial or pooled, every executed cell comes back as one
+    :class:`CellOutcome` that :meth:`_commit` feeds to the cache and the
+    observers.  A failing cell raises :class:`SweepCellError` only after
+    every outcome received before it is committed, so a re-run with the
+    same cache executes just the rest.
 
     Observability is opt-in and free when off: with ``metrics`` the engine
     counts cells/cache traffic, times each cell, and merges the workers'
@@ -981,7 +970,7 @@ class SweepEngine:
     attribute the sweep's wall time to pipeline phases: the engine
     stamps its own stages (spin-up, submission, cache I/O, result IPC)
     and instrumented workers ship compute / reduction / diagnosis
-    stamps home on the result tuples; the per-phase totals land in the
+    stamps home on their outcomes; the per-phase totals land in the
     fleet record and, with telemetry on, as nested spans in the Chrome
     trace.  ``benchmarks/bench_profile_overhead.py`` holds profiling to
     the same bitwise-equality and overhead bars.
@@ -996,7 +985,6 @@ class SweepEngine:
         diagnose: bool = False,
         diagnosis_log: Optional[DiagnosisWriter] = None,
         chunk_size: Optional[int] = None,
-        reuse_pool: bool = True,
         telemetry: Optional[SweepTelemetry] = None,
         progress: bool = False,
         progress_stream: Optional[IO[str]] = None,
@@ -1012,7 +1000,6 @@ class SweepEngine:
         self.run_log = run_log
         self.diagnosis_log = diagnosis_log
         self.chunk_size = chunk_size
-        self.reuse_pool = reuse_pool
         self._diagnose = diagnose or diagnosis_log is not None
         #: diagnoses of executed cells, keyed by run id (the cache key).
         self.diagnoses: Dict[str, PolicyDiagnosis] = {}
@@ -1076,9 +1063,7 @@ class SweepEngine:
         except Exception:
             pass
 
-    def _chunked(
-        self, todo: List[Tuple[str, SweepCell, int]], workers: int
-    ) -> List[List[Tuple[str, SweepCell, int]]]:
+    def _chunked(self, todo: List[_Todo], workers: int) -> List[List[_Todo]]:
         """Split ``todo`` into contiguous chunks, preserving order.
 
         Auto-sizing targets four chunks per worker: large enough to
@@ -1090,83 +1075,105 @@ class SweepEngine:
             size = max(1, -(-len(todo) // (workers * 4)))
         return [todo[i : i + size] for i in range(0, len(todo), size)]
 
-    def _run_chunks(
-        self,
-        pool: ProcessPoolExecutor,
-        chunks: List[List[Tuple[str, SweepCell, int]]],
-        mode: str,
-        with_metrics: bool,
-        baselines: Dict[str, Optional[float]],
-    ) -> List[object]:
-        """Submit chunks and flatten their outcomes back into todo order.
+    def _run_serial(
+        self, todo: List[_Todo], flags: Tuple[bool, bool, bool]
+    ) -> Tuple[List[_Received], Optional[_Failure]]:
+        """Execute ``todo`` in-process, stopping at the first failure.
 
-        Raises:
-            SweepCellError: for an in-worker failure (naming the exact
-                cell, original exception as ``__cause__``) or a pool-level
-                failure (attributed to the chunk's first cell).
+        Returns the outcomes received (in ``todo`` order) and the failing
+        cell with its exception, if any.
         """
+        received: List[_Received] = []
+        for key, cell, cell_id, baseline_j in todo:
+            self._progress_cell(HEARTBEAT_START, cell_id)
+            try:
+                outcome = _execute_cell(cell, *flags, baseline_j)
+            except Exception as exc:
+                return received, (cell, exc)
+            finally:
+                self._progress_cell(HEARTBEAT_DONE, cell_id)
+            received.append((key, cell, cell_id, outcome))
+        return received, None
+
+    def _run_chunks(
+        self, todo: List[_Todo], flags: Tuple[bool, bool, bool]
+    ) -> Tuple[List[_Received], Optional[_Failure]]:
+        """Execute ``todo`` on the warm pool, in chunks.
+
+        After the first failure, chunks that have not started are
+        cancelled while running ones finish.  Returns every outcome
+        received (in ``todo`` order) and the first failing cell in input
+        order with its exception — an in-worker failure names the exact
+        cell, a pool-level one (worker crash, result transport) the
+        chunk's first cell.
+        """
+        workers = min(self.jobs, len(todo))
+        if self.metrics is not None:
+            self.metrics.gauge("sweep.workers").set(workers)
+        chunks = self._chunked(todo, workers)
+        if self._pool is None:
+            with self._t_span(
+                "pool spin-up", workers=self.jobs
+            ), self._p_interval(PHASE_SPINUP):
+                self._pool = ProcessPoolExecutor(
+                    max_workers=self.jobs,
+                    initializer=_warm_worker,
+                    initargs=(self._heartbeats,),
+                )
+        pool = self._pool
         profiled = self.profile is not None
         with self._t_span(
-            "submit chunks",
-            chunks=len(chunks),
-            cells=sum(len(chunk) for chunk in chunks),
+            "submit chunks", chunks=len(chunks), cells=len(todo)
         ), self._p_interval(PHASE_SUBMIT):
             futures = [
                 pool.submit(
                     _execute_chunk,
-                    [cell for _, cell, _ in chunk],
-                    mode,
-                    with_metrics,
-                    [
-                        baselines[_baseline_key(cell)]
-                        if mode == "diagnosed"
-                        else None
-                        for _, cell, _ in chunk
-                    ],
-                    [cell_id for _, _, cell_id in chunk],
-                    profiled,
+                    [cell for _, cell, _, _ in chunk],
+                    *flags,
+                    [baseline_j for _, _, _, baseline_j in chunk],
+                    [cell_id for _, _, cell_id, _ in chunk],
                 )
                 for chunk in chunks
             ]
-        fresh: List[object] = []
+        received: List[_Received] = []
+        failure: Optional[_Failure] = None
+        pool_failed = False
         for chunk, future in zip(chunks, futures):
+            if failure is not None and future.cancel():
+                continue
             wait_start = perf_counter() if profiled else 0.0
             try:
                 tagged = future.result()
             except Exception as exc:
-                # The pool itself failed (worker crash, result transport);
-                # a dead warm pool must not poison the next batch.
-                if pool is self._pool:
-                    self.close()
-                raise SweepCellError(chunk[0][1], exc) from exc
-            for (_, cell, _), (tag, payload) in zip(chunk, tagged):
-                if tag == "err":
-                    assert isinstance(payload, BaseException)
-                    raise SweepCellError(cell, payload) from payload
-                fresh.append(payload)
+                tagged = [(False, exc)]
+                pool_failed = True
+            for (key, cell, cell_id, _), (ok, payload) in zip(chunk, tagged):
+                if ok:
+                    received.append((key, cell, cell_id, payload))
+                elif failure is None:
+                    failure = (cell, payload)
             if profiled:
                 # Result IPC: the slice of the wait after the chunk's
                 # last cell finished computing is unpickling/transfer —
                 # the rest of the wait is covered by the workers' own
-                # compute stamps on the shared timebase.  Plain-mode
-                # outcomes carry no worker clock, so charge the whole
-                # (already completed) wait.
-                recv = perf_counter()
-                ends = [
-                    payload[-2]
-                    for tag, payload in tagged
-                    if tag == "ok" and mode != "plain"
-                ]
-                ipc_start = max([wait_start] + ends) if ends else wait_start
-                self.profile.add_interval(PHASE_IPC, ipc_start, recv)
-        return fresh
+                # compute stamps on the shared timebase.
+                ends = [payload.t_end for ok, payload in tagged if ok]
+                self.profile.add_interval(
+                    PHASE_IPC, max([wait_start, *ends]), perf_counter()
+                )
+        if pool_failed:
+            # A dead warm pool must not poison the next batch.
+            self.close()
+        return received, failure
 
     def run(self, cells: Iterable[SweepCell]) -> List[CellResult]:
         """Execute ``cells`` and return their results, input-ordered.
 
         Raises:
-            SweepCellError: when a worker fails (or the pool breaks),
-                naming the affected cell.
+            SweepCellError: when a cell fails (or the pool breaks),
+                naming the affected cell — after committing every cell
+                that finished; for an unknown policy name, before any
+                cell runs.
         """
         start = perf_counter()
         if self._run_depth == 0:
@@ -1309,7 +1316,7 @@ class SweepEngine:
             if hit is not None:
                 results[key] = hit
                 self.stats.cache_hits += 1
-                self._observe(cell, key, hit, wall_s=0.0, cached=True)
+                self._observe(cell, key, hit, wall_s=0.0)
                 if self.telemetry is not None:
                     self.telemetry.add_instant(
                         "cache hit",
@@ -1324,6 +1331,15 @@ class SweepEngine:
                         self.progress_renderer.update()
             else:
                 pending[key] = cell
+        if not pending:
+            return [results[key] for key in keys]
+
+        # Unknown policy names fail here, before any cell runs.
+        for cell in pending.values():
+            try:
+                cell.policy.build_factory(cell.machine.clock_table())
+            except ValueError as exc:
+                raise SweepCellError(cell, exc) from exc
 
         # Diagnosis wants the oracle baseline per workload/machine/seed
         # combination.  Those constant-step searches run through this very
@@ -1331,168 +1347,99 @@ class SweepEngine:
         # nested batches so they are not themselves diagnosed.
         diagnosing = self._diagnose and self._run_depth == 1
         baselines: Dict[str, Optional[float]] = {}
-        if diagnosing and pending:
+        if diagnosing:
             with self._t_span("baseline dedup", cells=len(pending)):
                 baselines = self._compute_baselines(pending.values())
-
-        if pending:
-            todo = [
-                (key, cell, self._new_cell_id(cell))
-                for key, cell in pending.items()
-            ]
-            observed = (
-                self.metrics is not None
-                or self.run_log is not None
-                or self.telemetry is not None
-                or self.profile is not None
+        todo: List[_Todo] = [
+            (
+                key,
+                cell,
+                self._new_cell_id(cell),
+                baselines[_baseline_key(cell)] if diagnosing else None,
             )
-            profiled = self.profile is not None
-            with_metrics = self.metrics is not None
-            if diagnosing:
-                mode = "diagnosed"
-            elif observed:
-                mode = "observed"
-            else:
-                mode = "plain"
-            if self.jobs > 1 and len(todo) > 1:
-                workers = min(self.jobs, len(todo))
-                if self.metrics is not None:
-                    self.metrics.gauge("sweep.workers").set(workers)
-                chunks = self._chunked(todo, workers)
-                if self.reuse_pool:
-                    if self._pool is None:
-                        with self._t_span(
-                            "pool spin-up", workers=self.jobs
-                        ), self._p_interval(PHASE_SPINUP):
-                            self._pool = ProcessPoolExecutor(
-                                max_workers=self.jobs,
-                                initializer=_warm_worker,
-                                initargs=(self._heartbeats,),
-                            )
-                    fresh = self._run_chunks(
-                        self._pool, chunks, mode, with_metrics, baselines
-                    )
-                else:
-                    with self._t_span(
-                        "pool spin-up", workers=workers
-                    ), self._p_interval(PHASE_SPINUP):
-                        pool = ProcessPoolExecutor(
-                            max_workers=workers,
-                            initializer=_warm_worker,
-                            initargs=(self._heartbeats,),
-                        )
-                    with pool:
-                        fresh = self._run_chunks(
-                            pool, chunks, mode, with_metrics, baselines
-                        )
-            else:
-                fresh = []
-                for _, cell, cell_id in todo:
-                    self._progress_cell_started(cell_id)
-                    if diagnosing:
-                        outcome: object = _execute_cell_diagnosed(
-                            cell, with_metrics,
-                            baselines[_baseline_key(cell)], profiled,
-                        )
-                    elif observed:
-                        outcome = _execute_cell_observed(
-                            cell, with_metrics, profiled
-                        )
-                    else:
-                        outcome = _execute_cell(cell)
-                    fresh.append(outcome)
-                    self._progress_cell_finished(cell_id)
-            with self._t_span("merge results", cells=len(todo)):
-                for (key, cell, cell_id), outcome in zip(todo, fresh):
-                    diagnosis: Optional[PolicyDiagnosis] = None
-                    pid: Optional[int] = None
-                    t_start = t_end = 0.0
-                    phases: Tuple[Tuple[str, float, float], ...] = ()
-                    if diagnosing:
-                        (
-                            result, wall_s, snap, diagnosis,
-                            pid, t_start, t_end, phases,
-                        ) = outcome
-                        if self.metrics is not None and snap is not None:
-                            self.metrics.merge(snap)
-                    elif observed:
-                        (
-                            result, wall_s, snap, pid, t_start, t_end, phases
-                        ) = outcome
-                        if self.metrics is not None and snap is not None:
-                            self.metrics.merge(snap)
-                    else:
-                        result, wall_s = outcome, 0.0
-                    if self.profile is not None and phases:
-                        self.profile.add_group(phases)
-                    results[key] = result
-                    if self.cache is not None:
-                        with self._p_interval(PHASE_CACHE):
-                            self.cache.put(key, result)
-                    self._observe(
-                        cell,
-                        key,
-                        result,
-                        wall_s=wall_s,
-                        cached=False,
-                        worker_pid=pid,
-                        worker_ordinal=(
-                            self._ordinal_for(pid) if pid is not None else None
-                        ),
-                    )
-                    if self.telemetry is not None and pid is not None:
-                        lane = (
-                            LANE_ENGINE
-                            if pid == os.getpid()
-                            else self.telemetry.lane_for(pid)
-                        )
-                        self.telemetry.add_span(
-                            self._cell_labels.get(cell_id, cell.policy.label),
-                            self.telemetry.to_us(t_start),
-                            self.telemetry.to_us(t_end),
-                            lane=lane,
-                            seed=cell.seed,
-                            machine=cell.machine.label,
-                            mode=mode,
-                        )
-                        # Phase stamps nest inside the cell span on the
-                        # same lane; compute is the cell span itself.
-                        for phase, p0, p1 in phases:
-                            if phase == PHASE_COMPUTE:
-                                continue
-                            self.telemetry.add_span(
-                                phase,
-                                self.telemetry.to_us(p0),
-                                self.telemetry.to_us(p1),
-                                lane=lane,
-                            )
-                    if diagnosis is not None:
-                        self.diagnoses[key] = diagnosis
-                        if self.diagnosis_log is not None:
-                            self.diagnosis_log.write(diagnosis)
-            self.stats.executed += len(todo)
-
+            for key, cell in pending.items()
+        ]
+        flags = (self.metrics is not None, self.profile is not None, diagnosing)
+        if self.jobs > 1 and len(todo) > 1:
+            received, failure = self._run_chunks(todo, flags)
+        else:
+            received, failure = self._run_serial(todo, flags)
+        with self._t_span("merge results", cells=len(received)):
+            for key, cell, cell_id, outcome in received:
+                self._commit(key, cell, cell_id, outcome)
+                results[key] = outcome.result
+        if failure is not None:
+            cell, exc = failure
+            raise SweepCellError(cell, exc) from exc
         return [results[key] for key in keys]
 
-    def _progress_cell_started(self, cell_id: int) -> None:
-        """Feed the in-process execution path into the progress model."""
-        if self.progress_model is None:
-            return
-        with self._progress_lock:
-            self.progress_model.cell_started(
-                os.getpid(), cell_id, perf_counter(),
-                self._cell_labels.get(cell_id, ""),
-            )
-        if self.progress_renderer is not None:
-            self.progress_renderer.update()
+    def _commit(
+        self, key: str, cell: SweepCell, cell_id: int, outcome: CellOutcome
+    ) -> None:
+        """Feed one executed cell to the cache and every observer.
 
-    def _progress_cell_finished(self, cell_id: int) -> None:
+        The one place outcomes reach the cache, metrics, run-log,
+        telemetry spans, phase profile and diagnoses — on the happy path
+        and, for the cells that finished, on the failure path alike.
+        """
+        self.stats.executed += 1
+        if self.metrics is not None and outcome.metrics is not None:
+            self.metrics.merge(outcome.metrics)
+        if self.profile is not None and outcome.phases:
+            self.profile.add_group(outcome.phases)
+        if self.cache is not None:
+            with self._p_interval(PHASE_CACHE):
+                self.cache.put(key, outcome.result)
+        self._observe(
+            cell, key, outcome.result, wall_s=outcome.wall_s,
+            worker_pid=outcome.pid,
+        )
+        if self.telemetry is not None:
+            lane = (
+                LANE_ENGINE
+                if outcome.pid == os.getpid()
+                else self.telemetry.lane_for(outcome.pid)
+            )
+            self.telemetry.add_span(
+                self._cell_labels.get(cell_id, cell.policy.label),
+                self.telemetry.to_us(outcome.t_start),
+                self.telemetry.to_us(outcome.t_end),
+                lane=lane,
+                seed=cell.seed,
+                machine=cell.machine.label,
+                mode="observed" if outcome.diagnosis is None else "diagnosed",
+            )
+            # Phase stamps nest inside the cell span on the same lane;
+            # compute is the cell span itself.
+            for phase, p0, p1 in outcome.phases:
+                if phase == PHASE_COMPUTE:
+                    continue
+                self.telemetry.add_span(
+                    phase,
+                    self.telemetry.to_us(p0),
+                    self.telemetry.to_us(p1),
+                    lane=lane,
+                )
+        if outcome.diagnosis is not None:
+            self.diagnoses[key] = outcome.diagnosis
+            if self.diagnosis_log is not None:
+                self.diagnosis_log.write(outcome.diagnosis)
+
+    def _progress_cell(self, tag: str, cell_id: int) -> None:
+        """Feed the in-process execution path into the progress model,
+        as the heartbeat pump does for pool workers."""
         if self.progress_model is None:
             return
         with self._progress_lock:
-            self.progress_model.cell_finished(
-                os.getpid(), cell_id, perf_counter()
-            )
+            if tag == HEARTBEAT_START:
+                self.progress_model.cell_started(
+                    os.getpid(), cell_id, perf_counter(),
+                    self._cell_labels.get(cell_id, ""),
+                )
+            else:
+                self.progress_model.cell_finished(
+                    os.getpid(), cell_id, perf_counter()
+                )
         if self.progress_renderer is not None:
             self.progress_renderer.update()
 
@@ -1528,16 +1475,14 @@ class SweepEngine:
         key: str,
         result: CellResult,
         wall_s: float,
-        cached: bool,
         worker_pid: Optional[int] = None,
-        worker_ordinal: Optional[int] = None,
     ) -> None:
         """Account one served cell to the metrics registry and run-log.
 
-        ``worker_pid``/``worker_ordinal`` attribute executed cells to the
-        pool process that ran them (None for cache hits, which no worker
-        touched) so reports can attribute stragglers.
+        ``worker_pid`` attributes an executed cell to the process that
+        ran it; None marks a cache hit, which no worker touched.
         """
+        cached = worker_pid is None
         if self.metrics is not None:
             which = "sweep.cells_cached" if cached else "sweep.cells_executed"
             self.metrics.counter(which).inc()
@@ -1559,7 +1504,9 @@ class SweepEngine:
                     wall_s=wall_s,
                     unix_time=now_unix(),
                     worker_pid=worker_pid,
-                    worker_ordinal=worker_ordinal,
+                    worker_ordinal=(
+                        None if cached else self._ordinal_for(worker_pid)
+                    ),
                 )
             )
 

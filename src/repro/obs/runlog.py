@@ -52,7 +52,9 @@ class RunLogRecord:
         exact_energy_j: the analytic integral.
         miss_count: deadline misses beyond the workload tolerance.
         cache: ``"hit"`` or ``"executed"``.
-        wall_s: wall-clock execution time (0.0 for cache hits).
+        wall_s: wall-clock simulation time in every engine mode —
+            neither the summary reduction nor a diagnosis counts (0.0
+            for cache hits).
         unix_time: wall-clock time the record was written.
         repro_version: the simulator package version that produced the
             record (defaults to the running package).

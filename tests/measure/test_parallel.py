@@ -266,10 +266,82 @@ class TestSweepCellError:
         assert isinstance(err.__cause__, ValueError)
 
     def test_serial_path_keeps_the_raw_error(self):
-        # In-process failures already have a useful traceback; only the
-        # pool path needs the naming wrapper.
-        with pytest.raises(ValueError):
+        # One error contract: in-process failures are wrapped the same
+        # way as pool failures, the raw error kept as the cause.
+        with pytest.raises(SweepCellError) as excinfo:
             SweepEngine(jobs=1).run([cell(policy=PolicySpec("ondemand"))])
+        assert excinfo.value.cell.policy.name == "ondemand"
+        assert isinstance(excinfo.value.__cause__, ValueError)
+
+
+#: Fails at execution time: the factory rejects the unknown keyword.
+BROKEN_POLICY = PolicySpec.of("pering-avg", nope=1)
+
+
+class TestFailureKeepsFinishedWork:
+    """A failing cell must not lose the cells that finished before it."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_finished_cells_are_cached_and_logged(self, tmp_path, jobs):
+        from repro.obs.runlog import RunLogWriter, read_run_log
+
+        good = [cell(seed=s) for s in range(5)]
+        cells = good[:3] + [cell(policy=BROKEN_POLICY)] + good[3:]
+        cache = ResultCache(tmp_path / "cache")
+        log_path = tmp_path / "runs.jsonl"
+        with SweepEngine(
+            jobs=jobs, cache=cache, run_log=RunLogWriter(log_path)
+        ) as engine:
+            with pytest.raises(SweepCellError) as excinfo:
+                engine.run(cells)
+            engine.run_log.close()
+        assert excinfo.value.cell.policy == BROKEN_POLICY
+        assert isinstance(excinfo.value.__cause__, TypeError)
+        finished = engine.stats.executed
+        # Serially the cells after the failure never start; the pool
+        # finishes whichever chunks were already running.
+        if jobs == 1:
+            assert finished == 3
+        else:
+            assert 3 <= finished <= 5
+        assert len(cache) == finished
+        logged = read_run_log(log_path)
+        assert len(logged) == finished
+        assert {r["cache"] for r in logged} == {"executed"}
+
+        with SweepEngine(jobs=jobs, cache=cache) as rerun:
+            results = rerun.run(good)
+        assert rerun.stats.cache_hits == finished
+        assert rerun.stats.executed == len(good) - finished
+        assert results == SweepEngine().run(good)
+
+
+class TestPolicyNamesCheckedFirst:
+    """Unknown policy names fail a batch before any cell of it runs."""
+
+    BATCH = [cell(), cell(policy=PolicySpec("nope"), seed=1)]
+
+    def test_serial_batch_simulates_nothing(self, monkeypatch):
+        executed = []
+        monkeypatch.setattr(
+            SweepCell, "execute", lambda self, *a, **kw: executed.append(self)
+        )
+        with pytest.raises(SweepCellError) as excinfo:
+            SweepEngine(jobs=1).run(self.BATCH)
+        assert excinfo.value.cell.policy.name == "nope"
+        assert isinstance(excinfo.value.__cause__, ValueError)
+        assert executed == []
+
+    def test_pooled_batch_spins_up_no_pool(self, monkeypatch):
+        from repro.measure import parallel
+
+        def no_pool(*_a, **_kw):
+            raise AssertionError("a pool was spun up")
+
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", no_pool)
+        with pytest.raises(SweepCellError) as excinfo:
+            SweepEngine(jobs=2).run(self.BATCH)
+        assert excinfo.value.cell.policy.name == "nope"
 
 
 class TestSweepObservability:

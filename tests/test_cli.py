@@ -224,8 +224,14 @@ class TestSweepOptions:
     """The --jobs/--cache/--no-cache surface of the simulation commands."""
 
     def test_engine_default_is_serial_uncached(self):
+        # No sweep flag: a bare engine, which reports and records nothing.
         args = build_parser().parse_args(["run", "mpeg"])
-        assert sweep_engine(args) is None
+        engine = sweep_engine(args)
+        assert engine.jobs == 1
+        assert engine.cache is None
+        assert engine.run_log is None
+        assert engine.profile is None
+        assert engine.telemetry is None
 
     def test_run_with_jobs_smoke(self, capsys):
         code = main(
