@@ -16,27 +16,18 @@ converges to the exact integral.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
 from repro.traces.schema import PowerTimeline
 
-
-@lru_cache(maxsize=8)
-def _sample_offsets(n: int, period_us: float) -> np.ndarray:
-    """``np.arange(n) * period_us``, cached and frozen.
-
-    Every capture at the same rate over the same window length uses the
-    same 300k-element offset grid; building it once per process saves an
-    allocation and a multiply per capture.  The array is marked
-    read-only so a cached copy can never be mutated by a caller.
-    """
-    offsets = np.arange(n) * period_us
-    offsets.setflags(write=False)
-    return offsets
+#: Samples processed per step of :meth:`DaqSystem.capture`.  Each block's
+#: times, exact signal and noise (256 KiB apiece) stay cache-sized, so a
+#: capture's only window-sized allocation is its ``power_w`` output.
+BLOCK_SAMPLES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -60,12 +51,25 @@ class DaqConfig:
     noise_rms_watts: float = 0.002
 
     def __post_init__(self) -> None:
+        values = (
+            self.sample_rate_hz,
+            self.supply_volts,
+            self.sense_ohms,
+            self.adc_full_scale_volts,
+            self.noise_rms_watts,
+        )
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError("DAQ parameters must be finite")
         if self.sample_rate_hz <= 0:
             raise ValueError("sample rate must be positive")
         if self.sense_ohms <= 0 or self.supply_volts <= 0:
             raise ValueError("supply and sense resistor must be positive")
         if not 1 <= self.adc_bits <= 24:
             raise ValueError("adc_bits out of range")
+        if self.adc_full_scale_volts <= 0:
+            raise ValueError("ADC full scale must be positive")
+        if self.noise_rms_watts < 0:
+            raise ValueError("noise RMS cannot be negative")
 
     @property
     def sample_period_s(self) -> float:
@@ -78,14 +82,20 @@ class DaqCapture:
     """One triggered recording window.
 
     Attributes:
-        times_us: sample timestamps.
+        start_us: time of the first sample (the trigger).
         power_w: measured power samples (quantized, noisy).
         config: the DAQ configuration that produced it.
     """
 
-    times_us: np.ndarray
+    start_us: float
     power_w: np.ndarray
     config: DaqConfig
+
+    @property
+    def times_us(self) -> np.ndarray:
+        """Sample timestamps, rebuilt on each access from the trigger time."""
+        period_us = self.config.sample_period_s * 1e6
+        return self.start_us + np.arange(len(self.power_w)) * period_us
 
     def __len__(self) -> int:
         return len(self.power_w)
@@ -131,17 +141,25 @@ class DaqSystem:
             raise ValueError("capture window is empty")
         period_us = cfg.sample_period_s * 1e6
         n = int((end - start) / period_us)
-        times = start + _sample_offsets(n, period_us)
-        exact = timeline.sample(times)
-
-        # float addition commutes bitwise, so adding the exact signal into
-        # the freshly drawn noise buffer (instead of ``exact + noise``)
-        # reuses it as scratch for the quantizer and avoids three
-        # window-sized temporaries per capture.
-        noisy = self._rng.normal(0.0, cfg.noise_rms_watts, size=n)
-        noisy += exact
-        quantized = self._quantize(noisy)
-        return DaqCapture(times_us=times, power_w=quantized, config=cfg)
+        power_w = np.empty(n)
+        # The window is streamed in blocks, the way the bench DAQ streams
+        # to its host.  Every sample's value comes from the same
+        # operations as in a whole-window pass: its time is
+        # ``start + k * period_us`` (a float ``arange`` holds each integer
+        # k exactly), its noise the next draw of one generator, and
+        # sampling and quantizing are elementwise.  Adding the exact
+        # signal into the noise block (float addition commutes bitwise)
+        # writes each block straight into its slice of the output.
+        for i in range(0, n, BLOCK_SAMPLES):
+            j = min(i + BLOCK_SAMPLES, n)
+            times = np.arange(i, j, dtype=float)
+            times *= period_us
+            times += start
+            noisy = self._rng.normal(0.0, cfg.noise_rms_watts, size=j - i)
+            block = power_w[i:j]
+            np.add(noisy, timeline.sample(times), out=block)
+            self._quantize(block)
+        return DaqCapture(start_us=start, power_w=power_w, config=cfg)
 
     def _quantize(self, power_w: np.ndarray) -> np.ndarray:
         """Quantize power to the 16-bit sense-channel grid, in place.

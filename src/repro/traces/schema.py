@@ -15,6 +15,7 @@ These mirror the instrumentation the paper added to the Itsy:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
@@ -128,6 +129,7 @@ class PowerTimeline:
 
     def __init__(self) -> None:
         self._segments: List[Tuple[float, float, float]] = []
+        self._columns: Optional[Tuple[np.ndarray, bool]] = None
 
     def record(self, start_us: float, end_us: float, watts: float) -> None:
         """Append a segment.  Zero-length segments are ignored.
@@ -140,6 +142,7 @@ class PowerTimeline:
             return
         if watts < 0:
             raise ValueError("power cannot be negative")
+        self._columns = None
         if self._segments:
             last_start, last_end, last_w = self._segments[-1]
             if start_us < last_end - 1e-6:
@@ -186,42 +189,66 @@ class PowerTimeline:
                 return watts
         return 0.0
 
+    def _view(self) -> Tuple[np.ndarray, bool]:
+        """The segments as one ``(3, m)`` array, and whether starts ascend.
+
+        Rows are the segment starts, ends and watts (each contiguous).
+        Built once from the segment list and cached until the next
+        :meth:`record`; every vectorized query reads it.
+        """
+        if self._columns is None:
+            m = len(self._segments)
+            flat = np.fromiter(
+                itertools.chain.from_iterable(self._segments),
+                dtype=float,
+                count=3 * m,
+            )
+            columns = flat.reshape(m, 3).T.copy()
+            starts = columns[0]
+            self._columns = (columns, bool(np.all(starts[1:] >= starts[:-1])))
+        return self._columns
+
     def sample(self, times_us: "np.ndarray") -> "np.ndarray":
         """Vectorized :meth:`power_at` for an ascending array of times.
 
         Times outside the recorded range (or in gaps) sample as 0.0.
         """
-        if not self._segments:
-            return np.zeros(len(times_us))
-        starts = np.array([s for s, _, _ in self._segments])
-        ends = np.array([e for _, e, _ in self._segments])
-        watts = np.array([w for _, _, w in self._segments])
         n = len(times_us)
-        m = len(starts)
-        if (
-            n > m
-            and np.all(starts[1:] >= starts[:-1])
-            and np.all(times_us[1:] >= times_us[:-1])
-        ):
-            # Slice-fill: with both arrays ascending, bisect each segment
-            # boundary into the time grid once (O(m log n)) instead of
-            # bisecting every sample into the segment list (O(n log m)).
-            # A sample still takes segment j exactly when j is the last
-            # segment with start <= t and t < end_j, so the filled values
-            # are identical to the per-sample lookup below.
-            first = np.searchsorted(times_us, starts, side="left")
-            cut = np.searchsorted(times_us, ends, side="left")
-            nxt = np.empty_like(first)
-            nxt[:-1] = first[1:]
-            nxt[-1] = n
-            hi = np.minimum(np.maximum(cut, first), nxt)
-            vals = np.zeros(2 * m + 1)
-            vals[1::2] = watts
-            counts = np.empty(2 * m + 1, dtype=np.intp)
-            counts[0] = first[0]
-            counts[1::2] = hi - first
-            counts[2::2] = nxt - hi
-            return np.repeat(vals, counts)
+        if not self._segments:
+            return np.zeros(n)
+        columns, ascending = self._view()
+        starts, ends, watts = columns
+        if ascending and n and np.all(times_us[1:] >= times_us[:-1]):
+            # A sample takes segment j exactly when j is the last segment
+            # with start <= t and t < end_j.  With both arrays ascending
+            # only segments first_seg..last_seg can qualify: the last one
+            # starting at or before the first time, through the last one
+            # starting at or before the last time.
+            first_seg, last_seg = np.searchsorted(
+                starts, (times_us[0], times_us[-1]), side="right"
+            ) - 1
+            if last_seg < 0:
+                return np.zeros(n)
+            starts, ends, watts = columns[:, max(first_seg, 0) : last_seg + 1]
+            m = len(starts)
+            if n > m:
+                # Slice-fill: bisect each segment boundary into the time
+                # grid once (O(m log n)) instead of bisecting every sample
+                # into the segment list (O(n log m)); the filled values
+                # are identical to the per-sample lookup below.
+                first = np.searchsorted(times_us, starts, side="left")
+                cut = np.searchsorted(times_us, ends, side="left")
+                nxt = np.empty_like(first)
+                nxt[:-1] = first[1:]
+                nxt[-1] = n
+                hi = np.minimum(np.maximum(cut, first), nxt)
+                vals = np.zeros(2 * m + 1)
+                vals[1::2] = watts
+                counts = np.empty(2 * m + 1, dtype=np.intp)
+                counts[0] = first[0]
+                counts[1::2] = hi - first
+                counts[2::2] = nxt - hi
+                return np.repeat(vals, counts)
         idx = np.searchsorted(starts, times_us, side="right") - 1
         idx_clipped = np.clip(idx, 0, len(starts) - 1)
         inside = (idx >= 0) & (times_us < ends[idx_clipped])
@@ -235,15 +262,16 @@ class PowerTimeline:
             start_us = self.start_us
         if end_us is None:
             end_us = self.end_us
-        total = 0.0
         segments = self._segments
         if segments and start_us <= segments[0][0] and end_us >= segments[-1][1]:
             # Whole-timeline integral (the common case): segments ascend,
-            # so no clamping is needed -- the max/min below would return
-            # the segment bounds unchanged.
-            for seg_start, seg_end, watts in segments:
-                total += watts * (seg_end - seg_start) * 1e-6
-            return total
+            # so no clamping is needed.  ``cumsum`` adds strictly left to
+            # right, the order of a ``total += ...`` loop, so the total is
+            # bitwise equal to it; the leading ``0.0 +`` is that loop's
+            # initial value (it only turns a sum of -0.0 terms into 0.0).
+            starts, ends, watts = self._view()[0]
+            return 0.0 + float(np.cumsum(watts * (ends - starts) * 1e-6)[-1])
+        total = 0.0
         for seg_start, seg_end, watts in segments:
             a = max(seg_start, start_us)
             b = min(seg_end, end_us)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.traces.schema import AppEvent, PowerTimeline, QuantumRecord
 
@@ -107,3 +109,87 @@ class TestPowerTimeline:
         tl.record(0.0, 100.0, 1.0)
         tl.record(100.0, 200.0, 2.0)
         assert tl.power_at(100.0) == 2.0
+
+
+def loop_energy(segments):
+    """The whole-timeline integral as a scalar left-to-right loop (the
+    oracle for the vectorized ``energy_joules``)."""
+    total = 0.0
+    for seg_start, seg_end, watts in segments:
+        total += watts * (seg_end - seg_start) * 1e-6
+    return total
+
+
+def bits(x):
+    return np.float64(x).tobytes()
+
+
+segment_lists = st.lists(
+    st.tuples(
+        st.floats(0.0, 5_000.0),  # gap before the segment, us
+        st.floats(1e-3, 2e6),  # segment length, us
+        st.one_of(st.just(0.0), st.floats(0.0, 3.0)),  # watts
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+def build(segments):
+    tl = PowerTimeline()
+    t = 0.0
+    for gap, length, watts in segments:
+        t += gap
+        tl.record(t, t + length, watts)
+        t += length
+    return tl
+
+
+class TestVectorizedViews:
+    @settings(max_examples=200, deadline=None)
+    @given(segment_lists)
+    def test_whole_timeline_energy_matches_scalar_loop(self, segments):
+        tl = build(segments)
+        assert bits(tl.energy_joules()) == bits(loop_energy(list(tl)))
+        # The window that covers everything takes the same branch.
+        assert bits(tl.energy_joules(tl.start_us - 1.0, tl.end_us + 1.0)) == bits(
+            loop_energy(list(tl))
+        )
+
+    def test_single_and_zero_watt_segments(self):
+        tl = PowerTimeline()
+        tl.record(3.0, 7.5, 0.0)
+        assert bits(tl.energy_joules()) == bits(0.0)
+        tl = PowerTimeline()
+        tl.record(0.0, 1e6, -0.0)  # -0.0 W passes the negativity check
+        assert bits(tl.energy_joules()) == bits(loop_energy(list(tl)))
+        tl = PowerTimeline()
+        tl.record(10.0, 123_456.7, 1.25)
+        assert bits(tl.energy_joules()) == bits(loop_energy(list(tl)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(segment_lists, st.lists(st.floats(0.0, 1.0), min_size=1, max_size=80))
+    def test_sample_matches_power_at(self, segments, fracs):
+        tl = build(segments)
+        span = tl.end_us - tl.start_us
+        times = np.sort(
+            np.array([tl.start_us - 10.0 + f * (span + 20.0) for f in fracs])
+        )
+        expected = [tl.power_at(t) for t in times]
+        assert bits(tl.sample(times)) == bits(np.array(expected))
+        # Fewer times than segments: the per-sample lookup path.
+        assert bits(tl.sample(times[:3])) == bits(np.array(expected[:3]))
+
+    def test_record_after_sample_invalidates_the_view(self):
+        tl = PowerTimeline()
+        tl.record(0.0, 100.0, 1.0)
+        times = np.array([50.0, 150.0])
+        assert list(tl.sample(times)) == [1.0, 0.0]
+        assert bits(tl.energy_joules()) == bits(loop_energy(list(tl)))
+        tl.record(100.0, 200.0, 2.0)  # a new segment
+        assert list(tl.sample(times)) == [1.0, 2.0]
+        assert bits(tl.energy_joules()) == bits(loop_energy(list(tl)))
+        tl.record(200.0, 300.0, 2.0)  # merged into the last segment
+        assert len(tl) == 2
+        assert list(tl.sample(np.array([250.0]))) == [2.0]
+        assert bits(tl.energy_joules()) == bits(loop_energy(list(tl)))
